@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 from repro.network.packets import PacketClass
 
@@ -26,54 +26,66 @@ class ChannelKind(enum.Enum):
     VC1 = "vc1"
 
 
+def _channel_keys():
+    """(class, kind) of every virtual channel, in channel-index order."""
+    for pclass in PacketClass:
+        if pclass is PacketClass.SPECIAL:
+            yield pclass, ChannelKind.ADAPTIVE
+        elif pclass.is_io:
+            yield pclass, ChannelKind.VC0
+            yield pclass, ChannelKind.VC1
+        else:
+            yield pclass, ChannelKind.ADAPTIVE
+            yield pclass, ChannelKind.VC0
+            yield pclass, ChannelKind.VC1
+
+
+_INDEX = {key: index for index, key in enumerate(_channel_keys())}
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class VirtualChannel:
-    """One of the 19 virtual channels: a (class, kind) pair.
+    """One of the virtual channels: a (class, kind) pair.
 
-    Hashing and equality are by (class, kind) value with a precomputed
-    hash -- channels are dictionary keys in the simulator's innermost
-    loops, and the default dataclass hash (which re-hashes two enum
-    members every call) dominated early profiles.
+    Every channel carries a small int :attr:`index`, its position in
+    :func:`all_virtual_channels`; buffers keep per-channel state in
+    lists indexed by it.  The module's lookups (:func:`adaptive_channel`,
+    :func:`escape_channel`, :func:`entry_channel`) return the singleton
+    members of :func:`all_virtual_channels`; equality and hashing go by
+    the index, so a separately constructed (or unpickled) channel still
+    equals its singleton.
     """
 
     pclass: PacketClass
     kind: ChannelKind
-    _hash: int = 0
+    index: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.pclass is PacketClass.SPECIAL and self.kind is not ChannelKind.ADAPTIVE:
             raise ValueError("the special class has a single channel")
         if self.pclass.is_io and self.kind is ChannelKind.ADAPTIVE:
             raise ValueError("I/O packets only use the deadlock-free channels")
-        object.__setattr__(self, "_hash", hash((self.pclass, self.kind)))
+        object.__setattr__(self, "index", _INDEX[(self.pclass, self.kind)])
 
     def __hash__(self) -> int:
-        return self._hash
+        return self.index
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
         if not isinstance(other, VirtualChannel):
             return NotImplemented
-        return self.pclass is other.pclass and self.kind is other.kind
+        return self.index == other.index
 
 
-@lru_cache(maxsize=None)
+_CHANNELS = tuple(VirtualChannel(pclass, kind) for pclass, kind in _channel_keys())
+#: number of virtual channels (the length of every per-channel list)
+NUM_CHANNELS = len(_CHANNELS)
+
+
 def all_virtual_channels() -> tuple[VirtualChannel, ...]:
-    """The 21364's virtual channels (interned: always the same tuple)."""
-    channels = []
-    for pclass in PacketClass:
-        if pclass is PacketClass.SPECIAL:
-            channels.append(VirtualChannel(pclass, ChannelKind.ADAPTIVE))
-            continue
-        kinds = (
-            (ChannelKind.VC0, ChannelKind.VC1)
-            if pclass.is_io
-            else (ChannelKind.ADAPTIVE, ChannelKind.VC0, ChannelKind.VC1)
-        )
-        for kind in kinds:
-            channels.append(VirtualChannel(pclass, kind))
-    return tuple(channels)
+    """The 21364's virtual channels, in index order (always the same tuple)."""
+    return _CHANNELS
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,14 @@ class BufferPlan:
             return max(self.escape_capacity, 2)
         return self.escape_capacity
 
+    @cached_property
+    def channel_capacities(self) -> tuple[int, ...]:
+        """:meth:`capacity` of every channel, by channel index."""
+        return tuple(self.capacity(channel) for channel in _CHANNELS)
+
     def total_packets(self) -> int:
         """Total packet buffering per input port under this plan."""
-        return sum(self.capacity(channel) for channel in all_virtual_channels())
+        return sum(self.channel_capacities)
 
 
 def default_buffer_plan() -> BufferPlan:
@@ -138,19 +155,32 @@ def default_buffer_plan() -> BufferPlan:
     return plan
 
 
-@lru_cache(maxsize=None)
 def adaptive_channel(pclass: PacketClass) -> VirtualChannel:
-    """The (interned) adaptive channel of a coherence class."""
-    return VirtualChannel(pclass, ChannelKind.ADAPTIVE)
+    """The adaptive channel of a coherence class."""
+    channel = _ADAPTIVE.get(pclass)
+    if channel is None:
+        raise ValueError(f"{pclass} has no adaptive channel")
+    return channel
 
 
-@lru_cache(maxsize=None)
 def escape_channel(pclass: PacketClass, index: int) -> VirtualChannel:
-    """The (interned) escape channel VC0 or VC1 of a coherence class."""
+    """The escape channel VC0 or VC1 of a coherence class."""
     if index not in (0, 1):
         raise ValueError("escape channels are VC0 and VC1")
-    kind = ChannelKind.VC0 if index == 0 else ChannelKind.VC1
-    return VirtualChannel(pclass, kind)
+    pair = _ESCAPE.get(pclass)
+    if pair is None:
+        raise ValueError("the special class has a single channel")
+    return pair[index]
+
+
+_ADAPTIVE = {c.pclass: c for c in _CHANNELS if c.kind is ChannelKind.ADAPTIVE}
+_ESCAPE = {
+    pclass: tuple(
+        _CHANNELS[_INDEX[pclass, kind]] for kind in (ChannelKind.VC0, ChannelKind.VC1)
+    )
+    for pclass in PacketClass
+    if pclass.has_escape_channels
+}
 
 
 def entry_channel(pclass: PacketClass) -> VirtualChannel:
@@ -160,6 +190,14 @@ def entry_channel(pclass: PacketClass) -> VirtualChannel:
     only the deadlock-free channels (the 21364's I/O ordering rules)
     and the special class has its single channel.
     """
-    if pclass.adaptive_allowed or pclass is PacketClass.SPECIAL:
-        return adaptive_channel(pclass)
-    return escape_channel(pclass, 0)
+    return _ENTRY[pclass]
+
+
+_ENTRY = {
+    pclass: (
+        adaptive_channel(pclass)
+        if pclass.adaptive_allowed or pclass is PacketClass.SPECIAL
+        else escape_channel(pclass, 0)
+    )
+    for pclass in PacketClass
+}

@@ -75,6 +75,7 @@ class Packet:
         "waiting_since",
         "last_direction",
         "sink_outputs",
+        "route",
     )
 
     _uids = itertools.count()
@@ -105,6 +106,10 @@ class Packet:
         #: destination router; None means "either L0 or L1" (the
         #: default for responses, both being tied to the cache).
         self.sink_outputs = sink_outputs
+        #: ``(node, stages)``: the hop options the router at *node*
+        #: computed when it first scanned the packet (its RT/DW step);
+        #: cleared when the packet leaves that router.
+        self.route = None
 
     @property
     def flits(self) -> int:

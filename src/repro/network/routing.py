@@ -22,31 +22,17 @@ def adaptive_candidates(
     return topology.minimal_directions(current, destination)
 
 
-_DIMENSION_ORDER_CACHE: dict[tuple[int, int, int], Direction | None] = {}
-
-
 def dimension_order_direction(
     topology: Torus2D, current: int, destination: int
 ) -> Direction | None:
-    """The single escape-route direction: finish x before starting y."""
-    key = (id(topology), current, destination)
-    if key in _DIMENSION_ORDER_CACHE:
-        return _DIMENSION_ORDER_CACHE[key]
-    dx = topology.ring_offset(current, destination, 0)
-    if dx > 0:
-        result = Direction.EAST
-    elif dx < 0:
-        result = Direction.WEST
-    else:
-        dy = topology.ring_offset(current, destination, 1)
-        if dy > 0:
-            result = Direction.NORTH
-        elif dy < 0:
-            result = Direction.SOUTH
-        else:
-            result = None
-    _DIMENSION_ORDER_CACHE[key] = result
-    return result
+    """The single escape-route direction: finish x before starting y.
+
+    :meth:`Torus2D.minimal_directions` lists the x direction first, so
+    its head is the dimension-order hop (and it shares that method's
+    per-topology cache).
+    """
+    directions = topology.minimal_directions(current, destination)
+    return directions[0] if directions else None
 
 
 def escape_vc_after_hop(

@@ -1,9 +1,11 @@
 """A lightweight wall-clock profiler for simulation phases.
 
-The timing model's work falls into three recurring phases --
-*arbitration* (nominate + resolve), *traversal* (hop arrivals) and
-*delivery* (local-port sinks) -- and the useful question is usually
-"where did the wall time go", not a full call-graph profile.
+The timing model's work falls into four recurring phases --
+*nominate* (``Router.nominate``: the LA stage and its routing),
+*arbitrate* (``Router.resolve``: the GA stage and grant application),
+*traversal* (hop arrivals) and *delivery* (local-port sinks) -- and
+the useful question is usually "where did the wall time go", not a
+full call-graph profile.
 :class:`PhaseProfiler` answers it with two ``perf_counter`` calls per
 sample and one dict update, cheap enough to leave on for whole sweeps.
 

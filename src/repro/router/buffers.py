@@ -18,65 +18,89 @@ from __future__ import annotations
 from collections import deque
 
 from repro.network.channels import (
+    NUM_CHANNELS,
     BufferPlan,
     VirtualChannel,
     all_virtual_channels,
 )
 from repro.network.packets import Packet
 
+_CHANNELS = all_virtual_channels()
+
+
+class Occupancy:
+    """A packet count shared by the input buffers of one router."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
 
 class InputBuffer:
-    """Buffering for one input port: a FIFO per virtual channel."""
+    """Buffering for one input port: a FIFO per virtual channel.
 
-    def __init__(self, plan: BufferPlan) -> None:
+    Per-channel state lives in lists indexed by
+    :attr:`VirtualChannel.index`.  The public methods take channels;
+    the router's hot path uses :attr:`queues`, :attr:`waiting` and
+    :meth:`can_reserve_index` directly.  Buffers built with the same
+    *shared* :class:`Occupancy` keep a running total across them.
+    """
+
+    def __init__(self, plan: BufferPlan, shared: Occupancy | None = None) -> None:
         self._plan = plan
-        self._queues: dict[VirtualChannel, deque[Packet]] = {
-            channel: deque() for channel in all_virtual_channels()
-        }
-        self._reserved: dict[VirtualChannel, int] = {
-            channel: 0 for channel in self._queues
-        }
-        # Hot-path accounting: the simulator polls these every launch.
-        self._count = 0
-        self._nonempty: set[VirtualChannel] = set()
+        self._shared = shared if shared is not None else Occupancy()
+        #: FIFO per channel index (read-only outside this class)
+        self.queues: list[deque[Packet]] = [deque() for _ in range(NUM_CHANNELS)]
+        self._reserved = [0] * NUM_CHANNELS
+        self._capacity = plan.channel_capacities
+        #: number of buffered packets (read-only outside this class)
+        self.count = 0
+        #: indices of the channels holding a packet (a live set: don't mutate)
+        self.waiting: set[int] = set()
 
     # -- capacity ----------------------------------------------------
 
     def capacity(self, channel: VirtualChannel) -> int:
-        return self._plan.capacity(channel)
+        return self._capacity[channel.index]
 
     def free_slots(self, channel: VirtualChannel) -> int:
         """Slots neither occupied nor promised to an in-flight packet."""
-        return (
-            self.capacity(channel)
-            - len(self._queues[channel])
-            - self._reserved[channel]
-        )
+        return self._free_slots(channel.index)
+
+    def _free_slots(self, index: int) -> int:
+        return self._capacity[index] - len(self.queues[index]) - self._reserved[index]
 
     def can_reserve(self, channel: VirtualChannel) -> bool:
-        return self.free_slots(channel) > 0
+        return self._free_slots(channel.index) > 0
+
+    def can_reserve_index(self, index: int) -> bool:
+        return self._free_slots(index) > 0
 
     def reserve(self, channel: VirtualChannel) -> None:
         """Promise one slot to a packet granted upstream."""
         if not self.can_reserve(channel):
             raise BufferOverflowError(f"no free slot in {channel}")
-        self._reserved[channel] += 1
+        self._reserved[channel.index] += 1
 
     def cancel_reservation(self, channel: VirtualChannel) -> None:
-        if self._reserved[channel] <= 0:
+        index = channel.index
+        if self._reserved[index] <= 0:
             raise ValueError(f"no reservation to cancel on {channel}")
-        self._reserved[channel] -= 1
+        self._reserved[index] -= 1
 
     # -- occupancy ---------------------------------------------------
 
     def commit(self, packet: Packet, channel: VirtualChannel) -> None:
         """Arrival: turn a reservation into an occupied slot."""
-        if self._reserved[channel] <= 0:
+        index = channel.index
+        if self._reserved[index] <= 0:
             raise ValueError(f"arrival without reservation on {channel}")
-        self._reserved[channel] -= 1
-        self._queues[channel].append(packet)
-        self._count += 1
-        self._nonempty.add(channel)
+        self._reserved[index] -= 1
+        self.queues[index].append(packet)
+        self.count += 1
+        self._shared.count += 1
+        self.waiting.add(index)
 
     def inject(self, packet: Packet, channel: VirtualChannel) -> bool:
         """Local-port enqueue without a prior reservation.
@@ -85,28 +109,32 @@ class InputBuffer:
         channel is full -- the caller holds the packet and retries,
         which is how injection back-pressure throttles the processor.
         """
-        if self.free_slots(channel) <= 0:
+        index = channel.index
+        if self._free_slots(index) <= 0:
             return False
-        self._queues[channel].append(packet)
-        self._count += 1
-        self._nonempty.add(channel)
+        self.queues[index].append(packet)
+        self.count += 1
+        self._shared.count += 1
+        self.waiting.add(index)
         return True
 
     def head(self, channel: VirtualChannel) -> Packet | None:
-        queue = self._queues[channel]
+        queue = self.queues[channel.index]
         return queue[0] if queue else None
 
     def remove(self, packet: Packet, channel: VirtualChannel) -> None:
         """Departure: the packet won arbitration and left the router."""
-        queue = self._queues[channel]
+        index = channel.index
+        queue = self.queues[index]
         if not queue or queue[0] is not packet:
             # Read-port arbiters only nominate FIFO heads, so a grant
             # always removes the head; anything else is a model bug.
             raise ValueError(f"{packet} is not at the head of {channel}")
         queue.popleft()
-        self._count -= 1
+        self.count -= 1
+        self._shared.count -= 1
         if not queue:
-            self._nonempty.discard(channel)
+            self.waiting.discard(index)
 
     # -- introspection -----------------------------------------------
 
@@ -116,35 +144,34 @@ class InputBuffer:
         Read-only view for invariant checking and diagnostics; the
         underlying deque must not be mutated during iteration.
         """
-        return iter(self._queues[channel])
+        return iter(self.queues[channel.index])
 
     def reserved(self, channel: VirtualChannel) -> int:
         """Slots promised to in-flight packets but not yet occupied."""
-        return self._reserved[channel]
+        return self._reserved[channel.index]
 
     def credit_state(self):
         """Yield ``(channel, occupancy, reserved)`` for non-idle channels.
 
         The invariant checker walks this to assert credit-flow sanity
-        without touching the per-channel dicts directly.
+        without touching the per-channel lists directly.
         """
-        for channel, queue in self._queues.items():
+        for channel, queue, reserved in zip(_CHANNELS, self.queues, self._reserved):
             occupancy = len(queue)
-            reserved = self._reserved[channel]
             if occupancy or reserved:
                 yield channel, occupancy, reserved
 
     def occupancy(self, channel: VirtualChannel | None = None) -> int:
         if channel is not None:
-            return len(self._queues[channel])
-        return self._count
+            return len(self.queues[channel.index])
+        return self.count
 
     def channels_with_waiting(self) -> set[VirtualChannel]:
-        """Channels holding at least one packet (a live set: don't mutate)."""
-        return self._nonempty
+        """Channels holding at least one packet."""
+        return {_CHANNELS[index] for index in self.waiting}
 
     def is_empty(self) -> bool:
-        return self._count == 0
+        return self.count == 0
 
     def total_capacity(self) -> int:
         return self._plan.total_packets()

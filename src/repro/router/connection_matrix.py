@@ -24,6 +24,7 @@ passed to the router for sensitivity studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.router.ports import (
     InputPort,
@@ -66,6 +67,14 @@ class ConnectionMatrix:
 
     def connected(self, row: int, output: OutputPort | int) -> bool:
         return (row, int(output)) in self.cells
+
+    @cached_property
+    def wired(self) -> tuple[tuple[bool, ...], ...]:
+        """``wired[row][output]``: :meth:`connected` as a lookup table."""
+        return tuple(
+            tuple((row, out) in self.cells for out in range(NUM_OUTPUT_PORTS))
+            for row in range(NUM_ROWS)
+        )
 
     def outputs_of_row(self, row: int) -> tuple[int, ...]:
         """Output ports wired to *row*, ascending."""

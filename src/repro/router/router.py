@@ -9,7 +9,10 @@ drives it with two calls per arbitration *launch*:
   each read-port arbiter picks the oldest packet from its
   least-recently-selected virtual channel that passes the readiness
   tests (connected output, output predicted free at grant time,
-  downstream buffer space) -- and marks those packets in flight.
+  downstream buffer space) -- and marks those packets in flight.  A
+  packet's route is looked up once per router, the first time it is
+  scanned (the hardware's RT/DW step; see :meth:`_route`), so each
+  launch re-runs only those dynamic tests.
 * :meth:`resolve` at cycle ``t + latency`` re-checks readiness (the
   speculation window: a pipelined SPAA launch may discover its output
   was just taken), runs the arbitration algorithm, applies the grants
@@ -29,6 +32,7 @@ from repro.core.antistarvation import AntiStarvationTracker
 from repro.core.base import Arbiter
 from repro.core.types import Grant, Nomination, SourceKind
 from repro.network.channels import (
+    NUM_CHANNELS,
     BufferPlan,
     ChannelKind,
     VirtualChannel,
@@ -44,20 +48,20 @@ from repro.network.routing import (
 )
 from repro.network.topology import Direction, Torus2D
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.router.buffers import InputBuffer
+from repro.router.buffers import InputBuffer, Occupancy
 from repro.router.connection_matrix import ConnectionMatrix
 from repro.router.ports import (
     InputPort,
     NUM_OUTPUT_PORTS,
+    NUM_ROWS,
     OutputPort,
     READ_PORTS_PER_INPUT,
     output_for_direction,
     row_of,
 )
 
-#: fixed tie-break order for LRS channel selection (determinism).
-_CHANNEL_RANK = {c: i for i, c in enumerate(all_virtual_channels())}
-_channel_rank = _CHANNEL_RANK.__getitem__
+_CHANNELS = all_virtual_channels()
+_DEFAULT_SINKS = (int(OutputPort.L0), int(OutputPort.L1))
 
 
 @dataclass(slots=True)
@@ -129,9 +133,21 @@ class Router:
         #: set by the simulator from the algorithm's timing.
         self.output_tail_cycles = 0.0
 
+        self._occupancy = Occupancy()
         self.buffers: dict[InputPort, InputBuffer] = {
-            port: InputBuffer(buffer_plan) for port in InputPort
+            port: InputBuffer(buffer_plan, self._occupancy) for port in InputPort
         }
+        #: (port, buffer, its read-port rows, source kind), scan order
+        self._ports = tuple(
+            (
+                port,
+                self.buffers[port],
+                tuple(row_of(port, rp) for rp in range(READ_PORTS_PER_INPUT)),
+                SourceKind.NETWORK if port.is_network else SourceKind.LOCAL,
+            )
+            for port in InputPort
+        )
+        self._wired = matrix.wired
         self.output_busy_until = [0.0] * NUM_OUTPUT_PORTS
         #: downstream wiring, filled in by the simulator:
         #: torus output -> (neighbor router, neighbor's input port)
@@ -141,16 +157,20 @@ class Router:
         #: in-flight packets, only 16": each input-port arbiter keeps at
         #: most one nomination outstanding until its Reset step.
         self._row_in_flight: set[int] = set()
-        #: per-row least-recently-selected stamps per virtual channel;
-        #: never-selected channels rank oldest, ties break on a fixed
-        #: channel index so simulations stay deterministic.
-        self._vc_stamp: dict[int, dict[VirtualChannel, int]] = {}
-        self._vc_clock = 0
-        #: per-row rotation for picking one of two adaptive outputs
-        self._output_toggle: dict[int, int] = {}
+        self._reset_lrs()
         #: launch gating, managed by the simulator
         self.last_launch_time = float("-inf")
         self.launch_scheduled_at: float | None = None
+
+    def _reset_lrs(self) -> None:
+        #: per-row least-recently-selected sort keys per channel index:
+        #: ``stamp * NUM_CHANNELS + index``, where the stamp is 0 for a
+        #: never-selected channel, so those rank oldest and ties break
+        #: on the fixed channel index (simulations stay deterministic).
+        self._lrs_keys = [list(range(NUM_CHANNELS)) for _ in range(NUM_ROWS)]
+        self._vc_clock = 0
+        #: per-row rotation for picking one of two adaptive outputs
+        self._output_toggle = [0] * NUM_ROWS
 
     # -- nomination (the LA stage) -------------------------------------
 
@@ -162,18 +182,19 @@ class Router:
         nominations_per_port: int = READ_PORTS_PER_INPUT,
     ) -> Launch | None:
         """Build one arbitration launch; None when nothing is ready."""
+        if not self._occupancy.count:
+            return None
         nominations: list[Nomination] = []
         plans: dict[tuple[int, int, int], HopPlan] = {}
-        for port in InputPort:
-            buffer = self.buffers[port]
-            if buffer.is_empty():
+        row_in_flight = self._row_in_flight
+        for port, buffer, rows, source in self._ports:
+            if not buffer.count:
                 continue
             port_nominations = 0
-            for read_port in range(READ_PORTS_PER_INPUT):
+            for row in rows:
                 if port_nominations >= nominations_per_port:
                     break
-                row = row_of(port, read_port)
-                if row in self._row_in_flight:
+                if row in row_in_flight:
                     # Each read-port arbiter keeps at most one
                     # nomination outstanding (SPAA's Reset step); with
                     # one nomination per port per launch the pair
@@ -183,26 +204,24 @@ class Router:
                 picked = self._pick_for_row(row, port, buffer, resolve_time, fanout)
                 if picked is None:
                     continue
-                packet, channel, candidates = picked
-                outputs = tuple(int(plan.output) for plan in candidates)
+                packet, index, candidates = picked
                 nominations.append(
                     Nomination(
                         row=row,
                         packet=packet.uid,
-                        outputs=outputs,
-                        source=(
-                            SourceKind.NETWORK if port.is_network else SourceKind.LOCAL
-                        ),
+                        outputs=tuple(hop[0] for hop in candidates),
+                        source=source,
                         age=max(0, int(now - packet.waiting_since)),
                         group=int(port),
                         group_capacity=READ_PORTS_PER_INPUT,
                     )
                 )
-                for plan in candidates:
-                    plans[(row, packet.uid, int(plan.output))] = plan
+                for out, _, _, plan in candidates:
+                    plans[(row, packet.uid, out)] = plan
                 self._in_flight.add(packet.uid)
-                self._row_in_flight.add(row)
-                self._touch_vc(row, channel)
+                row_in_flight.add(row)
+                self._vc_clock += 1
+                self._lrs_keys[row][index] = self._vc_clock * NUM_CHANNELS + index
                 port_nominations += 1
         if not nominations:
             return None
@@ -219,147 +238,128 @@ class Router:
         buffer: InputBuffer,
         resolve_time: float,
         fanout: int,
-    ) -> tuple[Packet, VirtualChannel, list[HopPlan]] | None:
+    ) -> tuple[Packet, int, list[tuple]] | None:
         """The read-port arbiter: oldest packet from the LRS channel."""
-        for channel in self._channels_in_lrs_order(row, buffer):
-            packet = buffer.head(channel)
-            if packet is None or packet.uid in self._in_flight:
+        waiting = buffer.waiting
+        if len(waiting) > 1:
+            waiting = sorted(waiting, key=self._lrs_keys[row].__getitem__)
+        queues = buffer.queues
+        for index in waiting:
+            packet = queues[index][0]
+            if packet.uid in self._in_flight:
                 continue
-            candidates = self._candidate_plans(
-                row, port, packet, channel, resolve_time
-            )
+            route = packet.route
+            if route is None or route[0] != self.node:
+                route = self._route(port, packet, index)
+            candidates = self._ready_hops(row, route[1], resolve_time)
             if not candidates:
                 continue
             if fanout == 1 and len(candidates) > 1:
                 # SPAA commits to a single output; rotate the choice so
                 # both adaptive directions get exercised over time.
-                toggle = self._output_toggle.get(row, 0)
+                toggle = self._output_toggle[row]
                 candidates = [candidates[toggle % len(candidates)]]
                 self._output_toggle[row] = toggle + 1
             else:
                 candidates = candidates[:fanout]
-            return packet, channel, candidates
+            return packet, index, candidates
         return None
 
-    def _channels_in_lrs_order(
-        self, row: int, buffer: InputBuffer
-    ) -> list[VirtualChannel]:
-        nonempty = buffer.channels_with_waiting()
-        if len(nonempty) <= 1:
-            return list(nonempty)
-        stamps = self._vc_stamp.get(row)
-        if stamps is None:
-            return sorted(nonempty, key=_channel_rank)
-        return sorted(
-            nonempty, key=lambda c: (stamps.get(c, 0), _channel_rank(c))
-        )
+    # -- routing (the RT/DW step) ----------------------------------------
 
-    def _touch_vc(self, row: int, channel: VirtualChannel) -> None:
-        self._vc_clock += 1
-        self._vc_stamp.setdefault(row, {})[channel] = self._vc_clock
+    def _route(self, port: InputPort, packet: Packet, index: int) -> tuple:
+        """Compute and cache the packet's static hop options here.
 
-    # -- readiness tests ------------------------------------------------
-
-    def _candidate_plans(
-        self,
-        row: int,
-        port: InputPort,
-        packet: Packet,
-        channel: VirtualChannel,
-        resolve_time: float,
-    ) -> list[HopPlan]:
-        if packet.destination == self.node:
-            return self._sink_plans(row, port, packet, channel, resolve_time)
-        plans: list[HopPlan] = []
-        if packet.pclass.adaptive_allowed:
-            for direction in adaptive_candidates(
-                self.topology, self.node, packet.destination
-            ):
-                plan = self._network_plan(
-                    row, port, packet, channel, direction,
-                    adaptive_channel(packet.pclass), resolve_time,
-                )
-                if plan is not None:
-                    plans.append(plan)
-            if plans:
-                return plans
-        # Blocked adaptively (or I/O-class): try the escape network.
-        direction = dimension_order_direction(
-            self.topology, self.node, packet.destination
-        )
-        if direction is None:
-            return []
-        vc_index = escape_vc_after_hop(self.topology, packet, self.node, direction)
-        plan = self._network_plan(
-            row, port, packet, channel, direction,
-            escape_channel(packet.pclass, vc_index), resolve_time,
-        )
-        return [plan] if plan is not None else []
-
-    def _network_plan(
-        self,
-        row: int,
-        port: InputPort,
-        packet: Packet,
-        channel: VirtualChannel,
-        direction: Direction,
-        target_channel: VirtualChannel,
-        resolve_time: float,
-    ) -> HopPlan | None:
-        # Checks ordered cheapest-first: this test runs millions of
-        # times per simulation.  Torus output index == direction value.
-        out_index = int(direction)
-        if self.output_busy_until[out_index] > resolve_time:
-            return None
-        if (row, out_index) not in self.matrix.cells:
-            return None
-        # A packet arriving at torus input port P came from the
-        # neighbor in direction P; leaving via output P would reverse,
-        # which minimal-rectangle routing never does.
-        if int(port) == out_index and port.is_network:
-            return None
-        output = output_for_direction(direction)
-        neighbor, in_port = self.downstream[output]
-        if not neighbor.buffers[in_port].can_reserve(target_channel):
-            return None
-        return HopPlan(
-            packet=packet,
-            in_port=port,
-            from_channel=channel,
-            output=output,
-            target_channel=target_channel,
-            direction=direction,
-        )
-
-    def _sink_plans(
-        self,
-        row: int,
-        port: InputPort,
-        packet: Packet,
-        channel: VirtualChannel,
-        resolve_time: float,
-    ) -> list[HopPlan]:
-        sinks = packet.sink_outputs
-        if sinks is None:
-            sinks = (int(OutputPort.L0), int(OutputPort.L1))
-        plans = []
-        for out in sinks:
-            output = OutputPort(out)
-            if not self.matrix.connected(row, output):
-                continue
-            if self.output_busy_until[int(output)] > resolve_time:
-                continue
-            plans.append(
-                HopPlan(
-                    packet=packet,
-                    in_port=port,
-                    from_channel=channel,
-                    output=output,
-                    target_channel=None,
-                    direction=None,
-                )
+        Runs once per packet per router, the first time a read-port
+        arbiter scans it.  The result, ``(node, stages)``, holds one or
+        two stages of hops ``(output index, downstream buffer or None,
+        target channel index, HopPlan)``: the sink outputs at the
+        destination; elsewhere the adaptive directions, then the
+        dimension-order escape hop as a fallback.  Everything here is
+        fixed while the packet waits in this buffer; only the dynamic
+        checks in :meth:`_ready_hops` repeat per launch.
+        """
+        node = self.node
+        channel = _CHANNELS[index]
+        if packet.destination == node:
+            sinks = packet.sink_outputs
+            if sinks is None:
+                sinks = _DEFAULT_SINKS
+            stages = (
+                tuple(
+                    (int(out), None, 0, HopPlan(
+                        packet, port, channel, OutputPort(out), None, None
+                    ))
+                    for out in sinks
+                ),
             )
-        return plans
+        else:
+            topology = self.topology
+            destination = packet.destination
+            stages = ()
+            if packet.pclass.adaptive_allowed:
+                stages += (
+                    self._hops(
+                        port, packet, channel,
+                        adaptive_candidates(topology, node, destination),
+                        adaptive_channel(packet.pclass),
+                    ),
+                )
+            # Blocked adaptively (or I/O-class): the escape network.
+            direction = dimension_order_direction(topology, node, destination)
+            if direction is not None:
+                vc_index = escape_vc_after_hop(topology, packet, node, direction)
+                stages += (
+                    self._hops(
+                        port, packet, channel, (direction,),
+                        escape_channel(packet.pclass, vc_index),
+                    ),
+                )
+        route = packet.route = (node, stages)
+        return route
+
+    def _hops(
+        self,
+        port: InputPort,
+        packet: Packet,
+        channel: VirtualChannel,
+        directions: tuple[Direction, ...],
+        target_channel: VirtualChannel,
+    ) -> tuple[tuple, ...]:
+        # Torus output index == direction value.  A packet arriving at
+        # torus input port P came from the neighbor in direction P;
+        # leaving via output P would reverse, which minimal-rectangle
+        # routing never does.
+        reverse = int(port) if port.is_network else None
+        hops = []
+        for direction in directions:
+            out = int(direction)
+            if out == reverse:
+                continue
+            output = output_for_direction(direction)
+            neighbor, in_port = self.downstream[output]
+            plan = HopPlan(packet, port, channel, output, target_channel, direction)
+            hops.append((out, neighbor.buffers[in_port], target_channel.index, plan))
+        return tuple(hops)
+
+    def _ready_hops(
+        self, row: int, stages: tuple, resolve_time: float
+    ) -> list[tuple]:
+        """The LA readiness tests: output free at *resolve_time*, cell
+        wired, downstream credit.  The first stage with a ready hop wins."""
+        busy = self.output_busy_until
+        connected = self._wired[row]
+        ready = []
+        for hops in stages:
+            for hop in hops:
+                out, downstream, target, _ = hop
+                if busy[out] > resolve_time or not connected[out]:
+                    continue
+                if downstream is None or downstream.can_reserve_index(target):
+                    ready.append(hop)
+            if ready:
+                break
+        return ready
 
     # -- resolution (the GA stage) ---------------------------------------
 
@@ -441,6 +441,7 @@ class Router:
         packet = plan.packet
         self.buffers[plan.in_port].remove(packet, plan.from_channel)
         self._in_flight.discard(packet.uid)
+        packet.route = None
         if plan.target_channel is None:
             cycles_per_flit = self.local_cycles_per_flit
         else:
@@ -478,22 +479,12 @@ class Router:
         self.antistarvation.reset()
         self._in_flight.clear()
         self._row_in_flight.clear()
-        self._vc_stamp.clear()
-        self._vc_clock = 0
-        self._output_toggle.clear()
+        self._reset_lrs()
         self.last_launch_time = float("-inf")
         self.launch_scheduled_at = None
 
     # -- introspection -----------------------------------------------------
 
     def total_buffered(self) -> int:
-        return sum(buffer.occupancy() for buffer in self.buffers.values())
+        return self._occupancy.count
 
-    def has_arbitrable_work(self) -> bool:
-        """Cheap check: any non-in-flight packet waiting anywhere."""
-        for buffer in self.buffers.values():
-            for channel in buffer.channels_with_waiting():
-                head = buffer.head(channel)
-                if head is not None and head.uid not in self._in_flight:
-                    return True
-        return False

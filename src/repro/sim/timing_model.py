@@ -431,7 +431,7 @@ class NetworkSimulator:
             self.timing.nominations_per_port,
         )
         if tel.profiling:
-            tel.profiler.add("arbitration", began)
+            tel.profiler.add("nominate", began)
         if launch is None:
             # Arrivals, departures and credit releases all generate
             # wake-ups, but an output's busy window expiring is pure
@@ -462,7 +462,7 @@ class NetworkSimulator:
         began = tel.profiler.begin() if tel.profiling else 0.0
         dispatches = router.resolve(now, launch)
         if tel.profiling:
-            tel.profiler.add("arbitration", began)
+            tel.profiler.add("arbitrate", began)
         for dispatch in dispatches:
             self._apply_dispatch(router, dispatch)
         # Losers (and newly uncovered heads) can renominate immediately.

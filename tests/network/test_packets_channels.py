@@ -102,6 +102,27 @@ class TestVirtualChannels:
         assert entry_channel(PacketClass.READ_IO).kind is ChannelKind.VC0
         assert entry_channel(PacketClass.SPECIAL).kind is ChannelKind.ADAPTIVE
 
+    def test_lookups_return_the_singletons_with_their_index(self):
+        channels = all_virtual_channels()
+        found = []
+        for pclass in PacketClass:
+            found.append(entry_channel(pclass))
+            if pclass.adaptive_allowed or pclass is PacketClass.SPECIAL:
+                found.append(adaptive_channel(pclass))
+            if pclass.has_escape_channels:
+                found += [escape_channel(pclass, 0), escape_channel(pclass, 1)]
+        assert {id(c) for c in found} == {id(c) for c in channels}
+        for channel in found:
+            assert channels[channel.index] is channel
+        assert [c.index for c in channels] == list(range(len(channels)))
+
+    def test_a_rebuilt_channel_equals_its_singleton(self):
+        rebuilt = VirtualChannel(PacketClass.FORWARD, ChannelKind.VC1)
+        singleton = escape_channel(PacketClass.FORWARD, 1)
+        assert rebuilt is not singleton
+        assert rebuilt == singleton and hash(rebuilt) == hash(singleton)
+        assert rebuilt.index == singleton.index
+
 
 class TestBufferPlan:
     def test_default_plan_totals_316_packets(self):

@@ -72,6 +72,33 @@ class TestDimensionOrder:
                 if direction is not None:
                     assert direction in torus.minimal_directions(src, dst)
 
+    def test_route_never_comes_from_a_freed_torus(self):
+        """Regression: the escape-route cache was once a module global
+        keyed by ``id(topology)``; a torus of another size that reused a
+        freed torus's id then read the freed torus's directions."""
+
+        def expected(torus, src, dst):
+            dx = torus.ring_offset(src, dst, 0)
+            dy = torus.ring_offset(src, dst, 1)
+            if dx:
+                return Direction.EAST if dx > 0 else Direction.WEST
+            if dy:
+                return Direction.NORTH if dy > 0 else Direction.SOUTH
+            return None
+
+        for _ in range(20):
+            small = Torus2D(4, 4)
+            for src in range(small.num_nodes):
+                for dst in range(small.num_nodes):
+                    dimension_order_direction(small, src, dst)
+            del small
+            large = Torus2D(8, 8)
+            for src in range(16):
+                for dst in range(16):
+                    assert dimension_order_direction(large, src, dst) is (
+                        expected(large, src, dst)
+                    )
+
 
 class TestEscapeVcDateline:
     def packet(self) -> Packet:

@@ -218,3 +218,17 @@ class TestDrainFlag:
         assert sim.drained_clean is False
         kinds = [record.get("kind") for record in telemetry.sink.records]
         assert "drain-warn" in kinds
+
+
+class TestProfiledPhases:
+    def test_nominate_and_arbitrate_are_separate_phases(self):
+        from repro.obs.sink import MemorySink
+        from repro.obs.telemetry import Telemetry
+
+        telemetry = Telemetry(sink=MemorySink(), profile=True)
+        NetworkSimulator(config(measure_cycles=500), telemetry=telemetry).run()
+        phases = {s.name: s for s in telemetry.profiler.summaries()}
+        assert {"nominate", "arbitrate"} <= set(phases)
+        assert "arbitration" not in phases
+        # Every resolve follows a launch that nominate produced.
+        assert phases["nominate"].samples >= phases["arbitrate"].samples > 0
